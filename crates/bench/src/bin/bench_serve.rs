@@ -1,21 +1,19 @@
 //! `BENCH_serve.json` — the serving point of the repo's machine-readable
 //! perf trajectory.
 //!
-//! Sweeps **both serving architectures** over a shared client script:
+//! Sweeps the one serving runtime over a shared client script:
 //! `shards ∈ {1, 4}` × `clients ∈ {1, 4, 16, 64, 256}`. One client
 //! streams the block sequence while the others interleave `query-model`
 //! and `stats` requests — the ingest-vs-query mix the daemon is built
-//! for. Each architecture runs at its natural thread budget: the
-//! 1-shard daemon is thread-per-connection, so it gets one worker per
-//! client; the 4-shard daemon serves every client count from 4
-//! readiness-style event-loop threads.
+//! for. The daemon is thread-per-connection at every shard count, so
+//! every row gets one worker per client; the shard count changes only
+//! the state behind the lock.
 //!
 //! Reports per-row request throughput, the **median** ingest and query
 //! latencies across `DEMON_BENCH_REPEATS` fresh daemon runs, and a
 //! queue-depth histogram sampled from the daemon's own `Stats` answers
 //! (per-shard in the 4-shard rows). The top-level `shard_speedup_64c`
-//! field is the 4-shard ÷ 1-shard throughput ratio at 64 clients — the
-//! headline number the sharding work is gated on.
+//! field is the 4-shard ÷ 1-shard throughput ratio at 64 clients.
 //!
 //! The histogram pins down *why* the 1-shard `ingest_median_ms` used
 //! to roughly double from 4 to 16 clients: the old sweep drove 16
@@ -24,11 +22,7 @@
 //! served to completion. The ingest queue itself was never the
 //! bottleneck — the histograms show it at depth 0–1 throughout — the
 //! backlog lived in connection scheduling. Sizing the pool to the
-//! client count removes the rise (legacy ingest is now flat from 1 to
-//! 256 clients); the 4-shard rows accept a higher ingest median at
-//! extreme client counts (the sequencer shares the core with saturated
-//! loop threads and publishes a replica per block) as the disclosed
-//! price of the query-throughput win.
+//! client count removes the rise.
 //!
 //! Every configuration is run twice per repeat — once volatile and once
 //! with a write-ahead log (fsync before every ingest ack) — so each row
@@ -266,9 +260,8 @@ fn drive(
 ) -> RunResult {
     let mut config = ServeConfig::new("127.0.0.1:0", N_ITEMS, minsup);
     config.shards = n_shards;
-    // Thread-per-connection needs a worker per client; the event loop
-    // serves any client count from a fixed four threads.
-    config.workers = if n_shards == 1 { n_clients.max(2) } else { 4 };
+    // Thread-per-connection needs a worker per client.
+    config.workers = n_clients.max(2);
     config.wal_dir = wal_dir;
     let server = Server::bind(config).expect("bind ephemeral daemon");
     let addr = server.local_addr();

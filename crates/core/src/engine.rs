@@ -191,8 +191,9 @@ impl<M: ModelMaintainer> SlidingEngine<M> {
 /// retryable for e.g. a recovering ingest pipeline); skipping ahead is
 /// an [`DemonError::InvalidParameter`]. Shared by [`UwEngine`] and
 /// [`crate::Gemm`], so both reject the block *before* touching any
-/// maintainer or store state.
-pub(crate) fn check_sequential(id: BlockId, latest: Option<BlockId>) -> Result<()> {
+/// maintainer or store state — and by the serving daemon, which checks
+/// before it logs a block.
+pub fn check_sequential(id: BlockId, latest: Option<BlockId>) -> Result<()> {
     let expected = latest.map_or(BlockId::FIRST, BlockId::next);
     if id == expected {
         return Ok(());

@@ -55,6 +55,11 @@ pub trait SimilarityOracle<R = Transaction> {
     fn similar_to_many(&mut self, earlier: &[Block<R>], new: &Block<R>) -> Vec<(bool, f64)> {
         earlier.iter().map(|e| self.similar(e, new)).collect()
     }
+
+    /// Tells the oracle that block `id` has left the pattern window and
+    /// will never be judged again, so any per-block state it cached may
+    /// go. The default keeps nothing and does nothing.
+    fn retire(&mut self, _id: BlockId) {}
 }
 
 /// The frequent-itemset instantiation of the oracle.
@@ -86,11 +91,6 @@ impl ItemsetSimilarity {
     /// Number of models currently cached.
     pub fn cached_models(&self) -> usize {
         self.models.len()
-    }
-
-    /// Evicts the cached model of a retired block.
-    pub fn evict(&mut self, id: BlockId) {
-        self.models.remove(&id);
     }
 }
 
@@ -178,6 +178,10 @@ impl SimilarityOracle for ItemsetSimilarity {
             }),
         }
     }
+
+    fn retire(&mut self, id: BlockId) {
+        self.models.remove(&id);
+    }
 }
 
 /// The cluster-model instantiation of the oracle: each block is clustered
@@ -225,6 +229,10 @@ impl SimilarityOracle<demon_types::Point> for ClusterSimilarity {
         let mb = &self.models[&b.id()];
         let d = crate::deviation::cluster_deviation(a, ma, b, mb).deviation;
         (d < self.alpha, d)
+    }
+
+    fn retire(&mut self, id: BlockId) {
+        self.models.remove(&id);
     }
 }
 
@@ -278,6 +286,10 @@ impl SimilarityOracle<demon_types::Point> for DbscanSimilarity {
         let d = crate::deviation::dbscan_deviation(a, ma, b, mb).deviation;
         (d < self.alpha, d)
     }
+
+    fn retire(&mut self, id: BlockId) {
+        self.models.remove(&id);
+    }
 }
 
 /// The decision-tree instantiation of the oracle: each labeled block is
@@ -327,6 +339,10 @@ impl SimilarityOracle<demon_trees::LabeledPoint> for TreeSimilarity {
         let mb = &self.models[&b.id()];
         let d = crate::deviation::tree_deviation(a, ma, b, mb).deviation;
         (d < self.alpha, d)
+    }
+
+    fn retire(&mut self, id: BlockId) {
+        self.models.remove(&id);
     }
 }
 
@@ -378,7 +394,7 @@ mod tests {
         oracle.similar(&a, &c);
         oracle.similar(&b, &c);
         assert_eq!(oracle.cached_models(), 3);
-        oracle.evict(BlockId(2));
+        oracle.retire(BlockId(2));
         assert_eq!(oracle.cached_models(), 2);
     }
 

@@ -60,6 +60,11 @@ where
         self.slots.len()
     }
 
+    /// The similarity oracle.
+    pub fn oracle(&self) -> &O {
+        &self.oracle
+    }
+
     /// Live (in-window) block count.
     pub fn n_live(&self) -> usize {
         self.slots.len() - self.live_from
@@ -129,6 +134,7 @@ where
     fn retire_oldest(&mut self) {
         let idx = self.live_from;
         self.slots[idx].data = None;
+        self.oracle.retire(self.slots[idx].id);
         self.sim[idx] = Vec::new();
         self.live_from += 1;
         // Remove the retired member from every sequence; drop emptied
@@ -276,6 +282,27 @@ mod tests {
         let longest = seqs.iter().max_by_key(|s| s.len()).unwrap();
         let ivs = miner.sequence_intervals(longest).unwrap();
         assert_eq!(ivs.len(), longest.len());
+    }
+
+    #[test]
+    fn retired_blocks_leave_the_oracle_cache() {
+        use crate::similarity::{ItemsetSimilarity, SimilarityConfig};
+        use demon_types::MinSupport;
+        let w = 4;
+        let oracle = ItemsetSimilarity::new(
+            64,
+            MinSupport::new(0.2).unwrap(),
+            SimilarityConfig::Threshold { alpha: 0.3 },
+        );
+        let mut miner = WindowedCompactMiner::new(oracle, w);
+        for id in 1..=3 * w as u64 {
+            miner.add_block(blk(id));
+            assert!(
+                miner.oracle().cached_models() <= w + 1,
+                "{} models cached after block {id}",
+                miner.oracle().cached_models()
+            );
+        }
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! | §3.1.1 | PT-Scan counting (Mueller '95 tree) | [`prefix_tree`], [`counter`] |
 //! | §3.1.1 | ECUT / ECUT+ TID-list counting | [`tidlist`], [`counter`] |
 //! | §3.1.1 | FUP comparator (Cheung et al. '96) | [`fup`] |
-//! | §5 | calendric association rules | [`calendric`], [`rules`] |
+//! | §5 | association rules | [`rules`] |
 //! | §6.1 | level-wise mining from scratch | [`apriori`] |
 //! | — (engineering) | crash-safe store persistence | [`persist`], [`codec`] |
 //!
@@ -80,7 +80,6 @@
 #![forbid(unsafe_code)]
 
 pub mod apriori;
-pub mod calendric;
 pub mod codec;
 pub mod counter;
 pub mod fup;
@@ -92,7 +91,6 @@ pub mod rules;
 pub mod store;
 pub mod tidlist;
 
-pub use calendric::{calendric_rules, Calendar, CalendricRule};
 pub use counter::{
     count_supports, count_supports_sharded, count_supports_with, CountResult, CounterKind,
 };

@@ -3,14 +3,15 @@
 //!
 //! The paper frames DEMON as a system that *continuously* maintains
 //! models and detects patterns as blocks arrive; this crate is that
-//! long-running shape. A [`Server`] owns one
-//! [`DemonMonitor`](demon_core::monitor::DemonMonitor) behind a
+//! long-running shape. A [`Server`] owns one served state behind a
 //! read/write lock and serves concurrent clients from a fixed worker
 //! pool: blocks stream in through a bounded ingest queue (backpressure,
-//! not unbounded buffering) while queries read the live model, the
-//! compact pattern sequences and the obs counter table, and a
-//! `Snapshot` verb persists the monitored store atomically through the
-//! durable writer.
+//! not unbounded buffering) to one ingester thread, while queries read
+//! the live model, the compact pattern sequences and the obs counter
+//! table, and a `Snapshot` verb persists the monitored store atomically
+//! through the durable writer. At `--shards 1` the state is a
+//! [`DemonMonitor`](demon_core::monitor::DemonMonitor); at `--shards N`
+//! it is a [`shard::ShardSet`] — the runtime around it is the same.
 //!
 //! Std-only by design: the wire protocol reuses the workspace's
 //! framed, CRC32-checksummed durable codec ([`demon_types::durable`])
@@ -24,9 +25,9 @@
 //! |---|---|
 //! | [`protocol`] | frame layout, verbs, request/response codecs, typed wire errors |
 //! | [`model`] | the [`ServableModel`] abstraction: codecs, rendering, snapshots, shard capability per model class |
-//! | [`server`] | worker pool, ingest queue, WAL + recovery + compaction, dispatch |
-//! | [`shard`] | partitioned runtime (`--shards ≥ 2`): per-shard stores + WAL lanes, sequencer, epoch-swapped replicas |
-//! | [`event_loop`] | readiness-style (poll-based, std-only) connection loop for the sharded runtime |
+//! | [`state`] | the served state behind the lock, and the one place `--shards` picks it |
+//! | [`server`] | worker pool, ingest queue, ingester, WAL lanes + recovery + compaction, dispatch |
+//! | [`shard`] | partitioned state (`--shards ≥ 2`): per-shard stores, partition function, WAL lane layout |
 //! | [`client`] | blocking one-call-per-request client with bounded retry |
 //!
 //! # Quick taste
@@ -68,7 +69,9 @@
 //!   bounded [`RetryPolicy`] and a `Duplicate` answer to a *retried*
 //!   ingest is success (the ack was lost, not the block).
 //! * Replayed or out-of-order blocks are typed protocol errors (the
-//!   engine's systematic-evolution contract); the daemon keeps serving.
+//!   engine's systematic-evolution contract), checked before the WAL
+//!   append so a refused block never comes back after a restart; the
+//!   daemon keeps serving.
 //! * The model answered over the socket is byte-identical to a batch
 //!   `demon-cli mine` over the same stream (asserted in
 //!   `tests/serve.rs`).
@@ -77,24 +80,23 @@
 //!   [`RecoveryPolicy::Strict`](demon_itemsets::persist::RecoveryPolicy).
 //! * With `ServeConfig::shards ≥ 2` the serving state is partitioned
 //!   (round-robin by block id) across per-shard stores and WAL lanes
-//!   behind one sequencer, queries are answered from immutable
-//!   epoch-swapped replicas, and every query response and persisted
-//!   snapshot stays **byte-identical** to the 1-shard daemon's
-//!   (asserted in `tests/serve_sharded.rs`).
+//!   behind the same ingester and lock, and every query response and
+//!   persisted snapshot stays **byte-identical** to the 1-shard
+//!   daemon's (asserted in `tests/serve_sharded.rs`).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod event_loop;
 pub mod model;
 pub mod protocol;
 pub mod server;
 pub mod shard;
+pub mod state;
 
 pub use client::{Client, RetryPolicy};
 pub use model::{
     ClusterModel, DbscanModel, ItemsetModel, ServableModel, ShardableModel, TreeModel,
 };
 pub use protocol::{Request, Response, WireError, MAX_PAYLOAD};
-pub use server::{ServeConfig, ServeSummary, ServedMonitor, Server};
+pub use server::{ServeConfig, ServeSummary, Server};

@@ -1,8 +1,8 @@
 //! The serving abstraction: what a model class must provide to be
 //! hosted by the daemon.
 //!
-//! The daemon itself is generic — one queue, one WAL, one monitor, one
-//! wire protocol. Everything class-specific funnels through
+//! The daemon itself is generic — one queue, one WAL, one served state,
+//! one wire protocol. Everything class-specific funnels through
 //! [`ServableModel`]:
 //!
 //! | Capability | Trait hook |
@@ -13,7 +13,7 @@
 //! | block-record wire codec | [`ServableModel::encode_records`], [`ServableModel::decode_records`] |
 //! | model → canonical JSON | [`ServableModel::render_model_json`] |
 //! | snapshot persist / load | [`ServableModel::save_snapshot`], [`ServableModel::load_snapshot`] |
-//! | exact shard merge (optional) | [`ShardableModel`] |
+//! | exact shard merge (optional) | [`ServableModel::shard_set`], [`ShardableModel`] |
 //!
 //! Four classes implement it: [`ItemsetModel`] (the seed daemon,
 //! byte-for-byte unchanged), [`ClusterModel`] (BIRCH+ over point
@@ -25,16 +25,17 @@
 //!
 //! ## Sharding is a capability, not a default
 //!
-//! The partitioned runtime (`--shards ≥ 2`) needs an *exact*
+//! The partitioned state (`--shards ≥ 2`) needs an *exact*
 //! scatter/gather: the model absorbed from per-shard stores must be
 //! byte-identical to the 1-shard model. Frequent-itemset supports are
 //! additive over disjoint block sets, so [`ItemsetModel`] implements
 //! [`ShardableModel`]. A CF-tree's shape depends on insertion order
 //! across the whole stream and a decision tree refits over every
 //! covered record, so neither clusters nor trees can merge shards
-//! exactly — they deliberately do **not** implement [`ShardableModel`],
-//! and `--shards ≥ 2` with `--model clusters|trees` is refused with the
-//! typed [`DemonError::ShardsUnsupported`] instead of silently serving
+//! exactly — they deliberately do **not** implement [`ShardableModel`]
+//! and keep the default [`ServableModel::shard_set`], so `--shards ≥ 2`
+//! with `--model clusters|trees|dbscan` is refused with the typed
+//! [`DemonError::ShardsUnsupported`] instead of silently serving
 //! approximate answers.
 //!
 //! ## Generic snapshots
@@ -49,6 +50,8 @@
 use std::path::Path;
 
 use crate::server::ServeConfig;
+use crate::shard::ShardSet;
+use crate::state::ServedState;
 use demon_clustering::{BirchParams, DbscanParams, PointBlockEntry};
 use demon_core::bss::{BlockSelector, WiBss};
 use demon_core::engine::DataSpan;
@@ -110,6 +113,18 @@ pub trait ServableModel: Send + Sync + 'static {
             Self::oracle(config),
             config.pattern_window,
         )
+    }
+
+    /// Builds the partitioned state behind `--shards ≥ 2`. Only classes
+    /// with an exact shard merge ([`ShardableModel`]) have one; the
+    /// default is the typed [`DemonError::ShardsUnsupported`] refusal.
+    fn shard_set(_config: &ServeConfig) -> Result<Box<dyn ServedState<Self>>>
+    where
+        Self: Sized,
+    {
+        Err(DemonError::ShardsUnsupported {
+            class: Self::CLASS.name(),
+        })
     }
 
     /// Builds the similarity oracle from the daemon config.
@@ -198,6 +213,10 @@ impl ServableModel for ItemsetModel {
             config.counter,
             &config.store_config,
         )
+    }
+
+    fn shard_set(config: &ServeConfig) -> Result<Box<dyn ServedState<Self>>> {
+        Ok(Box::new(ShardSet::<Self>::new(config)?))
     }
 
     fn oracle(config: &ServeConfig) -> ItemsetSimilarity {

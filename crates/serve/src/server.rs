@@ -5,11 +5,14 @@
 //!
 //! The runtime is generic over [`ServableModel`]: the same queue, WAL,
 //! recovery, compaction and dispatch serve frequent itemsets (the
-//! seed class, byte-for-byte unchanged), BIRCH+ clusters and windowed
-//! decision trees — `ServeConfig::model` picks the class, and every
-//! wire payload and WAL record carries its class tag so a mismatched
-//! client (or a WAL replayed into the wrong daemon) is refused with a
-//! typed error instead of decode soup.
+//! seed class, byte-for-byte unchanged), BIRCH+ clusters, windowed
+//! decision trees and DBSCAN density models — `ServeConfig::model`
+//! picks the class, and every wire payload and WAL record carries its
+//! class tag so a mismatched client (or a WAL replayed into the wrong
+//! daemon) is refused with a typed error instead of decode soup. The
+//! shard count only picks the state behind the lock
+//! ([`crate::state::build`]); everything below is the same at 1 and at
+//! N shards.
 //!
 //! ## Concurrency shape
 //!
@@ -17,18 +20,22 @@
 //!  client sockets ──▶ worker threads (N, accept + serve)
 //!                        │ queries            │ IngestBlock
 //!                        ▼                    ▼
-//!                  RwLock<DemonMonitor>   bounded ingest queue
+//!              RwLock<ServedState>        bounded ingest queue
 //!                        ▲                    │
 //!                        └── ingester thread ◀┘  (single writer)
-//!                        │         │ append+fsync before apply
+//!                        │         │ check id, append+fsync, apply
 //!                        ▼         ▼
-//!                  compactor ◀── wal-<gen>.log
+//!                  compactor ◀── WAL lane(s): wal-<gen>.log
 //!                  (snapshot + rotate)
 //! ```
 //!
 //! * **Queries** (`QueryModel`, `QuerySequences`, `Stats`, `Snapshot`)
-//!   take the monitor read lock, so any number run concurrently with
-//!   each other and block only while a block is being applied.
+//!   take the state's read lock, so any number run concurrently with
+//!   each other and block only while a block is being applied. The
+//!   model JSON is rendered at most once per applied block: an epoch
+//!   bumped under the write lock keys a one-entry memo, so a burst of
+//!   readers between two blocks pays for one render, and a memo hit
+//!   takes no read lock at all.
 //! * **Ingest** is serialized through a bounded queue drained by one
 //!   ingester thread holding the write lock per block. The worker that
 //!   accepted the request blocks on a completion slot, so a successful
@@ -37,31 +44,35 @@
 //!   stays full past the backpressure deadline the request is rejected
 //!   with a typed `Busy` error (`serve.rejects`), never buffered
 //!   unboundedly.
-//! * **Durability** (`wal_dir` set): before applying a block, the
-//!   ingester appends the block's encoded ingest request to the live
+//! * **Durability** (`wal_dir` set): the ingester first checks the
+//!   block's id against the last applied one — a replay or a gap is
+//!   answered with its typed error and never reaches the log — then
+//!   appends the block's encoded ingest request to its lane's live
 //!   `wal-<gen>.log` as one framed, checksummed record and **fsyncs**
 //!   it. Only then is the block applied and acknowledged, so an ack
-//!   means the block is both applied *and* durable. On startup,
-//!   [`Server::bind`] recovers: load `snapshot-<CURRENT>` (Strict),
-//!   replay every WAL generation ≥ `CURRENT` oldest-first (torn tails
-//!   dropped, `DuplicateBlock` replays skipped idempotently), truncate
-//!   the torn tail, and resume appending. A WAL whose records carry a
-//!   different model class tag is refused outright — replaying point
-//!   blocks into an itemset monitor would corrupt it silently.
+//!   means the block is both applied *and* durable. At one shard the
+//!   lane is `wal_dir` itself; at N it is `wal_dir/shard-<s>`. On
+//!   startup, [`Server::bind`] recovers: load `snapshot-<CURRENT>`
+//!   (Strict), gather every lane's generations ≥ `CURRENT` (torn tails
+//!   dropped), replay the contiguous id prefix past the snapshot,
+//!   truncate the torn tails, and resume appending. A WAL whose records
+//!   carry a different model class tag is refused outright — replaying
+//!   point blocks into an itemset monitor would corrupt it silently.
 //! * **Group commit** (`wal_group_commit`): the ingester drains every
 //!   block already queued behind the one it popped, appends them all,
-//!   then issues *one* covering fsync before applying and acking in
-//!   arrival order. Every ack still happens only after the fsync that
-//!   covers its block — the durability contract is unchanged; only the
-//!   fsync count per burst drops from N to 1.
-//! * **Compaction**: when the live WAL crosses `wal_max_bytes` the
-//!   ingester rotates to `wal-<gen+1>.log` (it is the sole appender
-//!   *and* applier, so at the rotation instant the monitor covers
-//!   everything in the old log) and signals the compactor thread, which
-//!   snapshots the store atomically to `snapshot-<gen+1>`, flips the
-//!   framed `CURRENT` pointer, and deletes the shadowed generations. A
-//!   crash at any instant recovers from whichever generation `CURRENT`
-//!   still names.
+//!   then issues *one* covering fsync per lane before applying and
+//!   acking in arrival order. Every ack still happens only after the
+//!   fsync that covers its block — the durability contract is
+//!   unchanged; only the fsync count per burst drops from N to 1.
+//! * **Compaction**: when the live lanes together cross `wal_max_bytes`
+//!   the ingester rotates every lane to `wal-<gen+1>.log` (it is the
+//!   sole appender *and* applier, so at the rotation instant the state
+//!   covers everything in the old logs) and signals the compactor
+//!   thread, which snapshots the state atomically to `snapshot-<gen+1>`
+//!   (the merged 1-shard layout at any shard count), flips the framed
+//!   `CURRENT` pointer, and deletes the shadowed generations. A crash
+//!   at any instant recovers from whichever generation `CURRENT` still
+//!   names.
 //! * **Shutdown** closes the queue (already-queued blocks still apply),
 //!   wakes every worker out of `accept`, and `run` returns after the
 //!   drain — the graceful exit the `Shutdown` verb promises.
@@ -74,30 +85,21 @@ use crate::model::{
     ClusterModel, DbscanModel, ItemsetModel, MaintainedModel, ServableModel, TreeModel,
 };
 use crate::protocol::{self, Request, Response, WireError};
-use demon_core::monitor::DemonMonitor;
-use demon_core::ItemsetMaintainer;
-use demon_focus::similarity::ItemsetSimilarity;
+use crate::shard::{lane_dir, shard_of};
+use crate::state::{self, ServedState};
+use demon_core::engine::check_sequential;
 use demon_itemsets::CounterKind;
 use demon_store::StoreConfig;
 use demon_types::durable::FrameClass;
 use demon_types::obs::{self, Counter};
 use demon_types::wal::{self, WalWriter};
-use demon_types::{Block, DemonError, MinSupport, ModelClass, Result};
-use std::collections::VecDeque;
+use demon_types::{Block, BlockId, DemonError, MinSupport, ModelClass, Result};
+use std::collections::{BTreeMap, VecDeque};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
-
-/// The monitor type the default (`--model itemsets`) daemon owns:
-/// frequent itemsets + compact sequences over one evolving transaction
-/// stream.
-pub type ServedMonitor = DemonMonitor<ItemsetMaintainer, ItemsetSimilarity>;
-
-/// The monitor a daemon serving model class `S` owns.
-type Monitor<S> =
-    DemonMonitor<<S as ServableModel>::Maintainer, <S as ServableModel>::Oracle>;
 
 /// Everything that shapes a daemon instance.
 #[derive(Clone, Debug)]
@@ -130,18 +132,18 @@ pub struct ServeConfig {
     pub pattern_window: Option<usize>,
     /// FOCUS similarity threshold α for the compact-sequence miner.
     pub alpha: f64,
-    /// Worker threads accepting and serving connections (with `shards ≥
-    /// 2` these become the readiness-style event-loop threads).
+    /// Worker threads accepting and serving connections; each serves one
+    /// connection at a time, so size it to the expected client count.
     pub workers: usize,
-    /// Serving-state partitions. `1` (the default) keeps the original
-    /// single-lock daemon; `≥ 2` switches to the partitioned runtime —
-    /// per-shard stores and WAL lanes behind one sequencer, epoch-swapped
-    /// read replicas, and a poll-based connection loop (see
-    /// [`crate::shard`]). Query responses and persisted snapshots are
-    /// byte-identical across shard counts. Requires a model class with
-    /// an exact shard merge ([`crate::model::ShardableModel`] — itemsets
-    /// only); other classes are refused with the typed
-    /// [`DemonError::ShardsUnsupported`].
+    /// Serving-state partitions. `1` (the default) serves a
+    /// `DemonMonitor` (every class, every window engine); `≥ 2` serves a
+    /// [`crate::shard::ShardSet`] — per-shard stores and WAL lanes behind
+    /// the same ingester, lock and worker pool. Query responses and
+    /// persisted snapshots are byte-identical across shard counts.
+    /// Requires a model class with an exact shard merge
+    /// ([`crate::model::ShardableModel`] — itemsets only) and the
+    /// unrestricted window; other configs are refused with typed errors
+    /// ([`DemonError::ShardsUnsupported`] for the class).
     pub shards: usize,
     /// Ingest-queue capacity (blocks buffered but not yet applied).
     pub queue_capacity: usize,
@@ -342,13 +344,31 @@ impl<R> IngestQueue<R> {
         self.not_full.notify_all();
     }
 
-    fn depth(&self) -> usize {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).jobs.len()
+    /// Queued blocks per shard (one entry at `n_shards = 1`).
+    fn depths(&self, n_shards: usize) -> Vec<u64> {
+        let state = self.state.lock().unwrap_or_else(|e| e.into_inner());
+        let mut depths = vec![0; n_shards];
+        for job in &state.jobs {
+            depths[shard_of(job.block.id(), n_shards)] += 1;
+        }
+        depths
     }
 }
 
+/// The state behind the lock.
+struct Served<S: ServableModel> {
+    state: Box<dyn ServedState<S>>,
+}
+
 struct Shared<S: ServableModel> {
-    monitor: RwLock<Monitor<S>>,
+    served: RwLock<Served<S>>,
+    /// Applied blocks since bind, the key of the render memo: bumped
+    /// inside the write-lock scope of every applied block, so it is
+    /// stable under the read lock and current before any ack.
+    epoch: AtomicU64,
+    /// The model JSON of one epoch: `QueryModel` renders at most once
+    /// per applied block.
+    rendered: Mutex<Option<(u64, Arc<str>)>>,
     queue: IngestQueue<S::Record>,
     shutdown: AtomicBool,
     requests: AtomicU64,
@@ -360,14 +380,16 @@ struct Shared<S: ServableModel> {
     render_ctx: S::RenderCtx,
     io_timeout: Duration,
     workers: usize,
+    shards: usize,
 }
 
-/// The ingester's durable-ingest state: the live WAL writer plus the
-/// channel to the compactor. Owned by the ingester thread alone — the
-/// single-appender discipline is what makes rotation sound.
+/// The ingester's durable-ingest state: one live WAL writer per lane
+/// plus the channel to the compactor. Owned by the ingester thread
+/// alone — the single-appender discipline is what makes rotation sound.
 struct Durability {
     dir: PathBuf,
-    writer: WalWriter,
+    /// One writer per shard; lane `s` lives in [`lane_dir`].
+    writers: Vec<WalWriter>,
     gen: u64,
     max_bytes: u64,
     /// The model-class tag stamped on every record (and every rotated
@@ -375,53 +397,24 @@ struct Durability {
     class: u8,
     /// Whether the ingester batches appends behind one covering fsync.
     group_commit: bool,
-    /// Highest block id the monitor has applied; a retried duplicate is
-    /// detected *before* the append so it never grows the log.
-    last_id: Option<u64>,
     compact_tx: mpsc::Sender<u64>,
-    /// One compaction at a time; while it runs, the live log simply
-    /// keeps growing past the threshold.
+    /// One compaction at a time; while it runs, the live logs simply
+    /// keep growing past the threshold.
     compacting: Arc<AtomicBool>,
 }
 
 /// A bound daemon, ready to [`run`](Server::run).
 pub struct Server {
-    inner: ServerInner,
+    addr: SocketAddr,
+    run: Box<dyn FnOnce() -> Result<ServeSummary> + Send>,
 }
 
-/// The runtimes behind the one public daemon type: the single-lock
-/// thread-per-connection daemon, monomorphized per model class
-/// (`shards == 1`; the itemset instance is the seed daemon, byte-for-
-/// byte unchanged), and the partitioned runtime (`shards ≥ 2`,
-/// itemsets only — the one class with an exact shard merge).
-enum ServerInner {
-    Itemsets(LegacyServer<ItemsetModel>),
-    Clusters(LegacyServer<ClusterModel>),
-    Trees(LegacyServer<TreeModel>),
-    Density(LegacyServer<DbscanModel>),
-    Sharded(Box<crate::shard::ShardedServer<ItemsetModel>>),
-}
-
-/// The single-lock runtime serving one model class.
-struct LegacyServer<S: ServableModel> {
+/// The runtime, monomorphized per model class.
+struct Daemon<S: ServableModel> {
     shared: Arc<Shared<S>>,
     listener: TcpListener,
     durability: Option<Durability>,
     compact_rx: Option<mpsc::Receiver<u64>>,
-}
-
-fn build_monitor<S: ServableModel>(config: &ServeConfig) -> Result<Monitor<S>> {
-    // Delegated so a class can pick its own window engine (incremental
-    // DBSCAN slides by deletion instead of GEMM's per-window refits).
-    S::build_monitor(config)
-}
-
-/// What WAL recovery rebuilt: the monitor with every durable block
-/// re-applied, the reopened live log, and its generation.
-struct Recovered<S: ServableModel> {
-    monitor: Monitor<S>,
-    writer: WalWriter,
-    gen: u64,
 }
 
 /// The typed refusal when a WAL record (header tag or request body)
@@ -433,243 +426,222 @@ fn cross_class_replay<S: ServableModel>(got: u8) -> DemonError {
     }
 }
 
-/// Recovers a monitor from a WAL directory: load `snapshot-<CURRENT>`
+/// Recovers `state` from a WAL directory: load `snapshot-<CURRENT>`
 /// under `Strict` (the snapshot was written atomically — damage there
-/// is real bit rot and must be loud), replay every WAL generation ≥
-/// `CURRENT` oldest-first, then reopen the newest log for appending
-/// with its torn tail (if any) truncated away.
+/// is real bit rot and must be loud), gather every lane's generations
+/// ≥ `CURRENT`, replay the contiguous id prefix past the snapshot, then
+/// reopen each lane's newest log for appending with its torn tail (if
+/// any) truncated away. Returns the writers and the live generation.
 ///
-/// Replay is idempotent and salvaging: a record already covered by the
-/// snapshot is a [`DemonError::DuplicateBlock`] and is skipped; a
-/// record that fails to apply was by definition never acknowledged
-/// (acks happen only after a successful apply) and is skipped too; a
-/// torn tail ends the file's clean prefix and is dropped (counted
-/// under `wal.torn_tails`). A record tagged with a *different model
-/// class* is not salvage — it means this WAL belongs to another
-/// daemon, and recovery refuses with the typed
-/// [`DemonError::ModelClassMismatch`] instead of replaying garbage.
-fn recover<S: ServableModel>(dir: &Path, config: &ServeConfig) -> Result<Recovered<S>> {
-    std::fs::create_dir_all(dir)?;
+/// Replay is idempotent and salvaging: a record the snapshot covers is
+/// skipped, and a torn tail ends its file's clean prefix and is dropped
+/// (counted under `wal.torn_tails`). The ingester logs a block only
+/// after its id checked out, but a log may also hold a block the daemon
+/// refused (written before that check existed) or one whose apply
+/// failed after the append. One lane's log is arrival order, so at
+/// `--shards 1` replay re-runs it as written and skips every record
+/// that fails, exactly as the daemon did when it first saw it. Lanes at
+/// N ≥ 2 carry no order between them: their records are replayed by id,
+/// the *last* record of each id winning, and the first missing id or
+/// failed apply ends replay — nothing past it was acknowledged. A
+/// record tagged with a *different model class* is not salvage — it
+/// means this WAL belongs to another daemon, and recovery refuses with
+/// the typed [`DemonError::ModelClassMismatch`] instead of replaying
+/// garbage.
+fn recover<S: ServableModel>(
+    dir: &Path,
+    config: &ServeConfig,
+    state: &mut dyn ServedState<S>,
+) -> Result<(Vec<WalWriter>, u64)> {
+    let n = config.shards;
+    for s in 0..n {
+        std::fs::create_dir_all(lane_dir(dir, s, n))?;
+    }
     let current = wal::read_current(dir)?;
-    let mut monitor = build_monitor::<S>(config)?;
-
     if current > 0 {
-        let snap = wal::snapshot_dir_path(dir, current);
-        for block in S::load_snapshot(&snap, config)? {
-            monitor.add_block(block)?;
+        for block in S::load_snapshot(&wal::snapshot_dir_path(dir, current), config)? {
+            state.add_block(block)?;
         }
     }
 
-    // Generations below CURRENT (and snapshot dirs other than CURRENT,
-    // including a compaction's tmp residue) are shadowed: delete them
-    // so a crash mid-cleanup converges instead of accreting.
-    for entry in std::fs::read_dir(dir)?.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(g) = wal::parse_wal_file_name(name) {
+    // A crash mid-cleanup converges here instead of accreting.
+    remove_shadowed(dir, n, current);
+
+    let mut tail: Vec<Block<S::Record>> = Vec::new();
+    let mut writers = Vec::with_capacity(n);
+    let mut max_gen = current;
+    for s in 0..n {
+        let lane = lane_dir(dir, s, n);
+        let mut next_seq = 0u64;
+        let mut live: Option<(u64, u64)> = None;
+        for g in wal::list_wal_generations(&lane)? {
             if g < current {
-                let _ = std::fs::remove_file(entry.path());
+                continue;
             }
-        } else if name.starts_with("snapshot-")
-            && wal::parse_snapshot_dir_name(name) != Some(current)
-        {
-            let _ = std::fs::remove_dir_all(entry.path());
+            let report = wal::read_wal(&wal::wal_file_path(&lane, g))?;
+            for record in &report.records {
+                if record.class != S::CLASS.tag() {
+                    return Err(cross_class_replay::<S>(record.class));
+                }
+                let Ok(Request::IngestBlock {
+                    class,
+                    id,
+                    interval,
+                    meta,
+                    payload,
+                }) = Request::decode(&record.body)
+                else {
+                    continue;
+                };
+                if class != S::CLASS.tag() {
+                    return Err(cross_class_replay::<S>(class));
+                }
+                let Ok(records) = S::decode_records(&payload, id, meta) else {
+                    continue;
+                };
+                let block = match interval {
+                    Some(iv) => Block::with_interval(id, iv, records),
+                    None => Block::new(id, records),
+                };
+                tail.push(block);
+            }
+            if let Some(seq) = report.next_seq() {
+                next_seq = seq;
+            }
+            live = Some((g, report.valid_len));
         }
+        writers.push(match live {
+            Some((g, valid_len)) => {
+                max_gen = max_gen.max(g);
+                WalWriter::open_after_recovery(
+                    &wal::wal_file_path(&lane, g),
+                    valid_len,
+                    next_seq,
+                    S::CLASS.tag(),
+                )?
+            }
+            None => WalWriter::create(
+                &wal::wal_file_path(&lane, current),
+                next_seq,
+                S::CLASS.tag(),
+            )?,
+        });
     }
 
-    let mut next_seq = 0u64;
-    let mut live_gen = current;
-    let mut live_valid_len = 0u64;
-    let mut live_exists = false;
-    for g in wal::list_wal_generations(dir)? {
-        if g < current {
-            continue;
-        }
-        let path = wal::wal_file_path(dir, g);
-        let report = wal::read_wal(&path)?;
-        for record in &report.records {
-            if record.class != S::CLASS.tag() {
-                return Err(cross_class_replay::<S>(record.class));
-            }
-            let Ok(Request::IngestBlock {
-                class,
-                id,
-                interval,
-                meta,
-                payload,
-            }) = Request::decode(&record.body)
-            else {
-                continue;
-            };
-            if class != S::CLASS.tag() {
-                return Err(cross_class_replay::<S>(class));
-            }
-            let Ok(records) = S::decode_records(&payload, id, meta) else {
-                continue;
-            };
-            let block = match interval {
-                Some(iv) => Block::with_interval(id, iv, records),
-                None => Block::new(id, records),
-            };
-            match monitor.add_block(block) {
-                Ok(_) => obs::incr(Counter::WalReplays),
-                Err(DemonError::DuplicateBlock { .. }) => {} // snapshot covers it
-                Err(_) => {} // appended but never acked: no promise broken
-            }
-        }
-        if let Some(s) = report.next_seq() {
-            next_seq = s;
-        }
-        live_gen = g;
-        live_valid_len = report.valid_len;
-        live_exists = true;
+    let in_log_order = n == 1;
+    if !in_log_order {
+        let by_id: BTreeMap<BlockId, _> = tail.into_iter().map(|b| (b.id(), b)).collect();
+        tail = by_id.into_values().collect();
     }
-
-    let live_path = wal::wal_file_path(dir, live_gen);
-    let writer = if live_exists {
-        WalWriter::open_after_recovery(&live_path, live_valid_len, next_seq, S::CLASS.tag())?
-    } else {
-        WalWriter::create(&live_path, next_seq, S::CLASS.tag())?
-    };
-    Ok(Recovered {
-        monitor,
-        writer,
-        gen: live_gen,
-    })
+    let mut latest = state.block_ids().last().copied();
+    for block in tail {
+        let id = block.id();
+        if latest.is_some_and(|l| id <= l) {
+            continue; // covered by the snapshot or an earlier record
+        }
+        match state.add_block(block) {
+            Ok(()) => {
+                obs::incr(Counter::WalReplays);
+                latest = Some(id);
+            }
+            // Refused or failed when it arrived: never acked.
+            Err(_) if in_log_order => {}
+            // A gap or a failed apply: nothing past it was acked.
+            Err(_) => break,
+        }
+    }
+    Ok((writers, max_gen))
 }
 
 impl Server {
-    /// Binds the listener and builds the monitor, but serves nothing
-    /// yet. With `wal_dir` set this is also where crash recovery
+    /// Binds the listener and builds the served state, but serves
+    /// nothing yet. With `wal_dir` set this is also where crash recovery
     /// happens — when `bind` returns, every durable block is applied.
     /// Enables the obs recorder so `Stats` is always live.
     pub fn bind(config: ServeConfig) -> Result<Server> {
         obs::enable();
-        if config.shards == 0 {
-            return Err(DemonError::InvalidParameter(
-                "--shards must be at least 1".to_string(),
-            ));
+        match config.model {
+            ModelClass::Itemsets => Daemon::<ItemsetModel>::bind(config),
+            ModelClass::Clusters => Daemon::<ClusterModel>::bind(config),
+            ModelClass::Trees => Daemon::<TreeModel>::bind(config),
+            ModelClass::Density => Daemon::<DbscanModel>::bind(config),
         }
-        if config.shards > 1 {
-            if config.model != ModelClass::Itemsets {
-                // Sharding needs the exact scatter/gather merge
-                // (`ShardableModel`); only itemset supports are
-                // additive over disjoint block sets.
-                return Err(DemonError::ShardsUnsupported {
-                    class: config.model.name(),
-                });
-            }
-            if config.window.is_some() {
-                return Err(DemonError::InvalidParameter(
-                    "sharded serving (--shards ≥ 2) requires the unrestricted window; \
-                     --window (GEMM) is only available with --shards 1"
-                        .to_string(),
-                ));
-            }
-            let sharded = crate::shard::ShardedServer::<ItemsetModel>::bind(&config)?;
-            return Ok(Server {
-                inner: ServerInner::Sharded(Box::new(sharded)),
-            });
-        }
-        let inner = match config.model {
-            ModelClass::Itemsets => ServerInner::Itemsets(LegacyServer::bind(config)?),
-            ModelClass::Clusters => ServerInner::Clusters(LegacyServer::bind(config)?),
-            ModelClass::Trees => ServerInner::Trees(LegacyServer::bind(config)?),
-            ModelClass::Density => ServerInner::Density(LegacyServer::bind(config)?),
-        };
-        Ok(Server { inner })
     }
 
     /// The address the daemon is listening on (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        match &self.inner {
-            ServerInner::Itemsets(s) => s.shared.addr,
-            ServerInner::Clusters(s) => s.shared.addr,
-            ServerInner::Trees(s) => s.shared.addr,
-            ServerInner::Density(s) => s.shared.addr,
-            ServerInner::Sharded(s) => s.local_addr(),
-        }
+        self.addr
     }
 
-    /// Serves until a `Shutdown` request: spawns the ingester (or the
-    /// sharded sequencer), the compactor (when durable) and the worker
-    /// pool (or event-loop threads), then joins them all. Queued blocks
-    /// are drained before the writer exits.
+    /// Serves until a `Shutdown` request: spawns the ingester, the
+    /// compactor (when durable) and the worker pool, then joins them
+    /// all. Queued blocks are drained before the ingester exits.
     pub fn run(self) -> Result<ServeSummary> {
-        match self.inner {
-            ServerInner::Itemsets(s) => s.run(),
-            ServerInner::Clusters(s) => s.run(),
-            ServerInner::Trees(s) => s.run(),
-            ServerInner::Density(s) => s.run(),
-            ServerInner::Sharded(s) => s.run(),
-        }
+        (self.run)()
     }
 }
 
-impl<S: ServableModel> LegacyServer<S> {
-    fn bind(config: ServeConfig) -> Result<LegacyServer<S>> {
+impl<S: ServableModel> Daemon<S> {
+    fn bind(config: ServeConfig) -> Result<Server> {
+        let mut state = state::build::<S>(&config)?;
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let (monitor, durability, compact_rx) = match &config.wal_dir {
-            None => (build_monitor::<S>(&config)?, None, None),
+        let (durability, compact_rx) = match &config.wal_dir {
+            None => (None, None),
             Some(dir) => {
-                let recovered = recover::<S>(dir, &config)?;
+                let (writers, gen) = recover::<S>(dir, &config, state.as_mut())?;
                 let (tx, rx) = mpsc::channel();
                 let durability = Durability {
                     dir: dir.clone(),
-                    writer: recovered.writer,
-                    gen: recovered.gen,
+                    writers,
+                    gen,
                     max_bytes: config.wal_max_bytes.max(1),
                     class: S::CLASS.tag(),
                     group_commit: config.wal_group_commit,
-                    last_id: S::block_ids(recovered.monitor.engine().maintainer())
-                        .last()
-                        .map(|id| id.value()),
                     compact_tx: tx,
                     compacting: Arc::new(AtomicBool::new(false)),
                 };
-                (recovered.monitor, Some(durability), Some(rx))
+                (Some(durability), Some(rx))
             }
         };
-        let blocks = S::block_ids(monitor.engine().maintainer()).len() as u64;
-        let render_ctx = S::render_ctx(monitor.engine().maintainer());
         let shared = Arc::new(Shared {
-            monitor: RwLock::new(monitor),
+            blocks: AtomicU64::new(state.block_ids().len() as u64),
+            render_ctx: state.render_ctx(),
+            served: RwLock::new(Served { state }),
+            epoch: AtomicU64::new(0),
+            rendered: Mutex::new(None),
             queue: IngestQueue::new(config.queue_capacity, config.queue_timeout),
             shutdown: AtomicBool::new(false),
             requests: AtomicU64::new(0),
-            blocks: AtomicU64::new(blocks),
             addr,
             meta: S::block_meta(&config),
-            render_ctx,
             io_timeout: config.io_timeout,
             workers: config.workers.max(1),
+            shards: config.shards,
         });
-        Ok(LegacyServer {
+        let daemon = Daemon {
             shared,
             listener,
             durability,
             compact_rx,
+        };
+        Ok(Server {
+            addr,
+            run: Box::new(move || daemon.run()),
         })
     }
 
     fn run(self) -> Result<ServeSummary> {
-        let LegacyServer {
+        let Daemon {
             shared,
             listener,
             durability,
             compact_rx,
         } = self;
         let mut handles = Vec::new();
-        if let Some(rx) = compact_rx {
-            let dir = durability
-                .as_ref()
-                .map(|d| d.dir.clone())
-                .unwrap_or_default();
-            let flag = durability
-                .as_ref()
-                .map(|d| Arc::clone(&d.compacting))
-                .unwrap_or_default();
+        if let (Some(rx), Some(d)) = (compact_rx, durability.as_ref()) {
+            let dir = d.dir.clone();
+            let flag = Arc::clone(&d.compacting);
             let shared = Arc::clone(&shared);
             handles.push(
                 std::thread::Builder::new()
@@ -679,10 +651,13 @@ impl<S: ServableModel> LegacyServer<S> {
         }
         {
             let shared = Arc::clone(&shared);
+            let latest = read_served(&shared)
+                .ok()
+                .and_then(|served| served.state.block_ids().last().copied());
             handles.push(
                 std::thread::Builder::new()
                     .name("serve-ingester".to_string())
-                    .spawn(move || ingester_loop(&shared, durability))?,
+                    .spawn(move || ingester_loop(&shared, durability, latest))?,
             );
         }
         for i in 0..shared.workers {
@@ -709,9 +684,8 @@ static CRASH_HITS: AtomicU64 = AtomicU64::new(0);
 /// Fault-injection hook: `DEMON_SERVE_CRASH=<point>:<n>` aborts the
 /// process — the moral equivalent of `kill -9`, no destructors, no
 /// flushes — the `n`-th time the named crash point is reached. Inert
-/// unless the fault tests arm it. Shared with the sharded sequencer and
-/// compactor, which hit the same named points.
-pub(crate) fn crash_point(point: &str) {
+/// unless the fault tests arm it.
+fn crash_point(point: &str) {
     let Ok(spec) = std::env::var("DEMON_SERVE_CRASH") else {
         return;
     };
@@ -729,55 +703,63 @@ pub(crate) fn crash_point(point: &str) {
     }
 }
 
-/// Appends one block to the WAL (skipping a detected duplicate),
-/// either fsyncing immediately (the seed path) or leaving the sync to
-/// the batch's covering fsync (group commit). `None` means appended or
-/// skipped cleanly; `Some` is the typed failure to ack instead.
-fn append_block<S: ServableModel>(
-    d: &mut Durability,
-    meta: u32,
-    block: &Block<S::Record>,
-    group: bool,
-) -> Option<WireError> {
-    let duplicate = d.last_id.is_some_and(|last| block.id().value() <= last);
-    if duplicate {
-        return None;
+impl Durability {
+    /// Appends one block to its lane, either fsyncing immediately or
+    /// leaving the sync to the batch's covering fsync (group commit).
+    /// `Some` is the typed failure to answer instead of an ack.
+    fn append<S: ServableModel>(
+        &mut self,
+        meta: u32,
+        block: &Block<S::Record>,
+        group: bool,
+    ) -> Option<WireError> {
+        let payload = match S::encode_records(block) {
+            Ok(p) => p,
+            Err(e) => return Some(WireError::Other(format!("wal encode: {e}"))),
+        };
+        let body = Request::IngestBlock {
+            class: S::CLASS.tag(),
+            id: block.id(),
+            interval: block.interval(),
+            meta,
+            payload,
+        }
+        .encode();
+        let lane = shard_of(block.id(), self.writers.len());
+        let writer = &mut self.writers[lane];
+        let appended = if group {
+            writer.append_unsynced(&body)
+        } else {
+            writer.append(&body)
+        };
+        appended
+            .err()
+            .map(|e| WireError::Io(format!("wal append: {e}")))
     }
-    let payload = match S::encode_records(block) {
-        Ok(p) => p,
-        Err(e) => return Some(WireError::Other(format!("wal encode: {e}"))),
-    };
-    let body = Request::IngestBlock {
-        class: S::CLASS.tag(),
-        id: block.id(),
-        interval: block.interval(),
-        meta,
-        payload,
-    }
-    .encode();
-    let appended = if group {
-        d.writer.append_unsynced(&body)
-    } else {
-        d.writer.append(&body)
-    };
-    match appended {
-        Ok(_) => None,
-        Err(e) => Some(WireError::Io(format!("wal append: {e}"))),
+
+    /// The group-commit covering fsync of every lane.
+    fn sync(&mut self) -> Result<()> {
+        self.writers.iter_mut().try_for_each(WalWriter::sync)
     }
 }
 
-/// The single writer: appends each queued block to the WAL (fsync),
-/// applies it, then answers the parked worker — in that order, so an
-/// acknowledgment implies both durability and visibility. A panicking
-/// `add_block` (e.g. a spill fault) poisons the monitor but never kills
-/// the ingester — later jobs are answered with a typed error instead of
-/// hanging forever.
+/// The single writer: checks each queued block's id, appends it to the
+/// WAL (fsync), applies it, then answers the parked worker — in that
+/// order, so an acknowledgment implies both durability and visibility,
+/// and a refused block never reaches the log. A panicking `add_block`
+/// (e.g. a spill fault) poisons the state but never kills the ingester
+/// — later jobs are answered with a typed error instead of hanging
+/// forever.
 ///
 /// With group commit enabled, every job already queued behind the
 /// popped one joins its batch: all appends first, one covering fsync,
 /// then the applies and acks in arrival order. An ack still only
 /// happens after the fsync covering its block.
-fn ingester_loop<S: ServableModel>(shared: &Arc<Shared<S>>, mut durability: Option<Durability>) {
+fn ingester_loop<S: ServableModel>(
+    shared: &Arc<Shared<S>>,
+    mut durability: Option<Durability>,
+    mut latest: Option<BlockId>,
+) {
     while let Some(job) = shared.queue.next_job() {
         let group = durability.as_ref().is_some_and(|d| d.group_commit);
         let mut batch = vec![job];
@@ -785,65 +767,56 @@ fn ingester_loop<S: ServableModel>(shared: &Arc<Shared<S>>, mut durability: Opti
             batch.extend(shared.queue.drain_ready());
         }
 
-        // WAL first: a block must be durable before it can be acked.
-        // Duplicates are detected before the append so a retried block
-        // never grows the log; an append failure fails the request
-        // without applying (an applied-but-not-durable block would turn
-        // a later DuplicateBlock retry into a silent durability lie).
-        let mut wal_failures: Vec<Option<WireError>> = Vec::with_capacity(batch.len());
+        // Sequencing, then the WAL: a replay or a gap is answered with
+        // its typed error and never logged (a logged refusal could be
+        // replayed in place of the block acked later under its id). An
+        // append failure fails the request without applying — an
+        // applied-but-not-durable block would turn a later
+        // DuplicateBlock retry into a silent durability lie.
+        let mut expected = latest;
+        let mut failures: Vec<Option<WireError>> = Vec::with_capacity(batch.len());
         for job in &batch {
             crash_point("before_append");
-            let failure = match durability.as_mut() {
-                Some(d) => append_block::<S>(d, shared.meta, &job.block, group),
-                None => None,
+            let id = job.block.id();
+            let failure = match check_sequential(id, expected) {
+                Err(e) => Some(WireError::from_error(&e)),
+                Ok(()) => durability
+                    .as_mut()
+                    .and_then(|d| d.append::<S>(shared.meta, &job.block, group)),
             };
-            wal_failures.push(failure);
+            if failure.is_none() {
+                expected = Some(id);
+            }
+            failures.push(failure);
         }
         if group {
             if let Some(d) = durability.as_mut() {
-                if let Err(e) = d.writer.sync() {
+                if let Err(e) = d.sync() {
                     // The covering fsync failed: nothing in the batch is
                     // durable, so nothing may be applied or acked Ok.
                     let msg = format!("wal sync: {e}");
-                    for f in &mut wal_failures {
+                    for f in &mut failures {
                         f.get_or_insert_with(|| WireError::Io(msg.clone()));
                     }
                 }
             }
         }
 
-        for (job, wal_failure) in batch.into_iter().zip(wal_failures) {
-            let block = job.block;
-            let block_id = block.id().value();
+        for (job, failure) in batch.into_iter().zip(failures) {
+            let id = job.block.id();
             crash_point("after_append");
-
-            let result = match wal_failure {
+            let result = match failure {
                 Some(e) => Err(e),
-                None => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    match shared.monitor.write() {
-                        Ok(mut monitor) => monitor
-                            .add_block(block)
-                            .map(|_| ())
-                            .map_err(|e| WireError::from_error(&e)),
-                        Err(_) => Err(WireError::Other(
-                            "monitor poisoned by an earlier ingest fault".to_string(),
-                        )),
-                    }
-                }))
-                .unwrap_or_else(|_| {
-                    Err(WireError::Other(
-                        "ingest panicked; monitor poisoned".to_string(),
-                    ))
-                }),
+                None => apply(shared, job.block),
             };
             if result.is_ok() {
                 shared.blocks.fetch_add(1, Ordering::SeqCst);
+                latest = Some(id);
                 if let Some(d) = durability.as_mut() {
-                    d.last_id = Some(block_id);
-                    // Rotate only after the apply: the monitor now covers
-                    // every record in the old log, so the compactor's
+                    // Rotate only after the apply: the state now covers
+                    // every record in the old logs, so the compactor's
                     // snapshot (taken later, under the read lock) is
-                    // guaranteed to shadow it.
+                    // guaranteed to shadow them.
                     maybe_rotate(d);
                 }
             }
@@ -853,38 +826,74 @@ fn ingester_loop<S: ServableModel>(shared: &Arc<Shared<S>>, mut durability: Opti
     }
 }
 
-/// Rotates the live WAL once it crosses the size threshold: create
-/// `wal-<gen+1>.log`, swap the writer, and hand generation `gen+1` to
-/// the compactor. Skipped while a compaction is already in flight.
+/// Applies one block under the write lock and bumps the render epoch.
+fn apply<S: ServableModel>(shared: &Shared<S>, block: Block<S::Record>) -> IngestResult {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        match shared.served.write() {
+            Ok(mut served) => {
+                served
+                    .state
+                    .add_block(block)
+                    .map_err(|e| WireError::from_error(&e))?;
+                shared.epoch.fetch_add(1, Ordering::SeqCst);
+                Ok(())
+            }
+            Err(_) => Err(WireError::Other(
+                "monitor poisoned by an earlier ingest fault".to_string(),
+            )),
+        }
+    }))
+    .unwrap_or_else(|_| {
+        Err(WireError::Other(
+            "ingest panicked; monitor poisoned".to_string(),
+        ))
+    })
+}
+
+/// Rotates every lane once the live logs together cross the size
+/// threshold: create each lane's `wal-<gen+1>.log`, swap the writers,
+/// and hand generation `gen+1` to the compactor. Skipped while a
+/// compaction is already in flight.
 fn maybe_rotate(d: &mut Durability) {
-    if d.writer.bytes() < d.max_bytes {
+    if d.writers.iter().map(WalWriter::bytes).sum::<u64>() < d.max_bytes {
         return;
     }
     if d.compacting.swap(true, Ordering::SeqCst) {
         return;
     }
     let next_gen = d.gen + 1;
-    match WalWriter::create(
-        &wal::wal_file_path(&d.dir, next_gen),
-        d.writer.next_seq(),
-        d.class,
-    ) {
-        Ok(writer) => {
-            d.writer = writer;
+    let n = d.writers.len();
+    let rotated: Result<Vec<WalWriter>> = d
+        .writers
+        .iter()
+        .enumerate()
+        .map(|(s, w)| {
+            WalWriter::create(
+                &wal::wal_file_path(&lane_dir(&d.dir, s, n), next_gen),
+                w.next_seq(),
+                d.class,
+            )
+        })
+        .collect();
+    match rotated {
+        Ok(writers) => {
+            d.writers = writers;
             d.gen = next_gen;
             // A send failure means the compactor died; keep serving —
-            // the log just stops rotating.
+            // the logs just stop rotating.
             let _ = d.compact_tx.send(next_gen);
         }
         Err(_) => {
-            // Could not open the next log: keep appending to the old
-            // one and try again at the next threshold crossing.
+            // Could not open the next logs: keep appending to the old
+            // ones and try again at the next threshold crossing. An
+            // already-created empty `wal-<gen+1>.log` is harmless —
+            // recovery replays it as an empty generation.
             d.compacting.store(false, Ordering::SeqCst);
         }
     }
 }
 
-/// The compactor: for each rotated generation, snapshot the store
+/// The compactor: for each rotated generation, snapshot the state
 /// atomically, flip `CURRENT`, and delete the shadowed WAL files and
 /// snapshots. A crash anywhere in here is recoverable — before the
 /// `CURRENT` flip the old generation chain is intact; after it the new
@@ -897,41 +906,59 @@ fn compactor_loop<S: ServableModel>(
 ) {
     while let Ok(gen) = rx.recv() {
         let result: Result<()> = (|| {
-            {
-                let monitor = shared.monitor.read().map_err(|_| {
-                    DemonError::InvalidParameter("monitor poisoned; compaction skipped".into())
-                })?;
-                S::save_snapshot(
-                    monitor.engine().maintainer(),
-                    &wal::snapshot_dir_path(dir, gen),
-                )?;
-            }
+            let served = read_served(shared).map_err(|_| {
+                DemonError::InvalidParameter("monitor poisoned; compaction skipped".into())
+            })?;
+            served
+                .state
+                .save_snapshot(&wal::snapshot_dir_path(dir, gen))?;
+            drop(served);
             crash_point("mid_compaction");
             wal::write_current(dir, gen)?;
             Ok(())
         })();
         if result.is_ok() {
-            // The old generations are shadowed by CURRENT=gen; deleting
-            // them is cleanup, not correctness (recovery re-deletes).
-            for g in wal::list_wal_generations(dir).unwrap_or_default() {
-                if g < gen {
-                    let _ = std::fs::remove_file(wal::wal_file_path(dir, g));
-                }
-            }
-            if let Ok(entries) = std::fs::read_dir(dir) {
-                for entry in entries.flatten() {
-                    let name = entry.file_name();
-                    let Some(name) = name.to_str() else { continue };
-                    if name.starts_with("snapshot-")
-                        && wal::parse_snapshot_dir_name(name) != Some(gen)
-                    {
-                        let _ = std::fs::remove_dir_all(entry.path());
-                    }
-                }
-            }
+            remove_shadowed(dir, shared.shards, gen);
         }
         compacting.store(false, Ordering::SeqCst);
     }
+}
+
+/// Deletes what `CURRENT = gen` shadows: every lane's logs below `gen`
+/// and every snapshot directory other than `snapshot-<gen>` (a
+/// compaction's tmp residue included). Cleanup, not correctness —
+/// recovery calls it again.
+fn remove_shadowed(dir: &Path, n_shards: usize, gen: u64) {
+    for s in 0..n_shards {
+        let lane = lane_dir(dir, s, n_shards);
+        for g in wal::list_wal_generations(&lane).unwrap_or_default() {
+            if g < gen {
+                let _ = std::fs::remove_file(wal::wal_file_path(&lane, g));
+            }
+        }
+    }
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if name.starts_with("snapshot-") && wal::parse_snapshot_dir_name(name) != Some(gen) {
+            let _ = std::fs::remove_dir_all(entry.path());
+        }
+    }
+}
+
+type ReadGuard<'a, S> = std::sync::RwLockReadGuard<'a, Served<S>>;
+
+/// The state's read lock, or the typed poisoned answer.
+fn read_served<S: ServableModel>(
+    shared: &Shared<S>,
+) -> std::result::Result<ReadGuard<'_, S>, WireError> {
+    shared
+        .served
+        .read()
+        .map_err(|_| WireError::Other("monitor poisoned".into()))
 }
 
 fn worker_loop<S: ServableModel>(shared: &Arc<Shared<S>>, listener: &TcpListener) {
@@ -997,100 +1024,90 @@ fn handle_connection<S: ServableModel>(shared: &Arc<Shared<S>>, stream: TcpStrea
 }
 
 fn dispatch<S: ServableModel>(shared: &Arc<Shared<S>>, request: Request) -> (Response, bool) {
-    match request {
+    let response = match request {
         Request::IngestBlock {
             class,
             id,
             interval,
             meta,
             payload,
-        } => {
-            if class != S::CLASS.tag() {
-                return (
-                    Response::Err(WireError::class_mismatch(S::CLASS, class)),
-                    false,
-                );
-            }
-            if let Some(msg) = S::meta_mismatch(shared.meta, meta) {
-                return (Response::Err(WireError::Other(msg)), false);
-            }
-            let records = match S::decode_records(&payload, id, meta) {
-                Ok(records) => records,
-                Err(e) => return (Response::Err(WireError::Other(e.to_string())), false),
-            };
-            let block = match interval {
-                Some(iv) => Block::with_interval(id, iv, records),
-                None => Block::new(id, records),
-            };
-            let result = shared
-                .queue
-                .submit(block)
-                .and_then(|done| done.wait());
-            match result {
-                Ok(()) => (Response::Ok, false),
-                Err(e) => (Response::Err(e), false),
-            }
-        }
-        Request::QueryModel { class } => {
-            if let Some(c) = class {
-                if c != S::CLASS.tag() {
-                    return (Response::Err(WireError::class_mismatch(S::CLASS, c)), false);
-                }
-            }
-            let monitor = match shared.monitor.read() {
-                Ok(m) => m,
-                Err(_) => {
-                    return (
-                        Response::Err(WireError::Other("monitor poisoned".into())),
-                        false,
-                    )
-                }
-            };
-            match monitor.model() {
-                Some(model) => match render_model::<S>(&shared.render_ctx, model) {
-                    Ok(json) => (Response::Model(json), false),
-                    Err(msg) => (Response::Err(WireError::Other(msg)), false),
-                },
-                None => (
-                    Response::Err(WireError::Other("no model yet (no blocks ingested)".into())),
-                    false,
-                ),
-            }
-        }
-        Request::QuerySequences => match shared.monitor.read() {
-            Ok(monitor) => (Response::Sequences(monitor.sequences()), false),
-            Err(_) => (
-                Response::Err(WireError::Other("monitor poisoned".into())),
-                false,
-            ),
+        } => ingest(shared, class, id, interval, meta, &payload),
+        Request::QueryModel { class } => match class {
+            Some(c) if c != S::CLASS.tag() => Err(WireError::class_mismatch(S::CLASS, c)),
+            _ => query_model(shared).map(Response::Model),
         },
-        Request::Stats => (Response::Stats(stats_json(shared)), false),
-        Request::Snapshot { dir } => {
-            let monitor = match shared.monitor.read() {
-                Ok(m) => m,
-                Err(_) => {
-                    return (
-                        Response::Err(WireError::Other("monitor poisoned".into())),
-                        false,
-                    )
-                }
-            };
+        Request::QuerySequences => {
+            read_served(shared).map(|served| Response::Sequences(served.state.sequences()))
+        }
+        Request::Stats => Ok(Response::Stats(stats_json(shared))),
+        Request::Snapshot { dir } => read_served(shared).and_then(|served| {
             // All-or-nothing: a failure leaves no partial directory at
             // `dir`, and the error stays typed end to end.
-            match S::save_snapshot(monitor.engine().maintainer(), Path::new(&dir)) {
-                Ok(blocks) => (Response::SnapshotDone(blocks), false),
-                Err(DemonError::Io(e)) => (
-                    Response::Err(WireError::Io(format!("snapshot to {dir}: {e}"))),
-                    false,
-                ),
-                Err(e) => (
-                    Response::Err(WireError::Other(format!("snapshot to {dir}: {e}"))),
-                    false,
-                ),
+            match served.state.save_snapshot(Path::new(&dir)) {
+                Ok(blocks) => Ok(Response::SnapshotDone(blocks)),
+                Err(DemonError::Io(e)) => Err(WireError::Io(format!("snapshot to {dir}: {e}"))),
+                Err(e) => Err(WireError::Other(format!("snapshot to {dir}: {e}"))),
             }
-        }
-        Request::Shutdown => (Response::Ok, true),
+        }),
+        Request::Shutdown => return (Response::Ok, true),
+    };
+    (response.unwrap_or_else(Response::Err), false)
+}
+
+/// Validates and decodes an `IngestBlock`, queues it, and waits for the
+/// ingester's verdict.
+fn ingest<S: ServableModel>(
+    shared: &Shared<S>,
+    class: u8,
+    id: BlockId,
+    interval: Option<demon_types::BlockInterval>,
+    meta: u32,
+    payload: &[u8],
+) -> std::result::Result<Response, WireError> {
+    if class != S::CLASS.tag() {
+        return Err(WireError::class_mismatch(S::CLASS, class));
     }
+    if let Some(msg) = S::meta_mismatch(shared.meta, meta) {
+        return Err(WireError::Other(msg));
+    }
+    let records =
+        S::decode_records(payload, id, meta).map_err(|e| WireError::Other(e.to_string()))?;
+    let block = match interval {
+        Some(iv) => Block::with_interval(id, iv, records),
+        None => Block::new(id, records),
+    };
+    shared.queue.submit(block)?.wait()?;
+    Ok(Response::Ok)
+}
+
+/// The model as canonical JSON, rendered at most once per epoch: the
+/// first query after a block renders under the read lock and memoizes
+/// the bytes, every later query of that epoch reuses them without
+/// taking the read lock, so it never holds up the ingester.
+fn query_model<S: ServableModel>(shared: &Shared<S>) -> std::result::Result<String, WireError> {
+    let mut memo = shared.rendered.lock().unwrap_or_else(|e| e.into_inner());
+    let current = shared.epoch.load(Ordering::SeqCst);
+    let hit = memo
+        .as_ref()
+        .filter(|(epoch, _)| *epoch == current && !shared.served.is_poisoned())
+        .map(|(_, json)| Arc::clone(json));
+    let json = match hit {
+        Some(json) => json,
+        None => {
+            let served = read_served(shared)?;
+            let model = served
+                .state
+                .model()
+                .ok_or_else(|| WireError::Other("no model yet (no blocks ingested)".into()))?;
+            let json: Arc<str> = render_model::<S>(&shared.render_ctx, model)
+                .map_err(WireError::Other)?
+                .into();
+            *memo = Some((shared.epoch.load(Ordering::SeqCst), Arc::clone(&json)));
+            json
+        }
+    };
+    drop(memo);
+    Ok(json.to_string())
 }
 
 /// Renders the model through the class hook, unwrapping the typed
@@ -1106,15 +1123,32 @@ fn render_model<S: ServableModel>(
 }
 
 /// The `Stats` body: the daemon's own gauges plus the full obs counter
-/// table, as one JSON object. Built by hand — every key is a static
-/// snake_case name, so no escaping is ever needed.
-fn stats_json<S: ServableModel>(shared: &Arc<Shared<S>>) -> String {
-    let mut out = format!(
-        "{{\"blocks\":{},\"requests\":{},\"queue_depth\":{},\"counters\":{{",
-        shared.blocks.load(Ordering::SeqCst),
+/// table, as one JSON object. With `shards ≥ 2` the per-shard gauges
+/// (`shards`, `shard_blocks` of the round-robin partition,
+/// `shard_queue_depths`) follow `"blocks"`, so gauge parsers keyed on
+/// the first `"blocks":` match keep working. Built by hand — every key
+/// is a static snake_case name, so no escaping is ever needed.
+fn stats_json<S: ServableModel>(shared: &Shared<S>) -> String {
+    let blocks = shared.blocks.load(Ordering::SeqCst);
+    let depths = shared.queue.depths(shared.shards);
+    let mut out = format!("{{\"blocks\":{blocks},");
+    if shared.shards > 1 {
+        let n = shared.shards as u64;
+        let list = |v: Vec<u64>| v.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
+        let shard_blocks = (0..n)
+            .map(|s| blocks / n + u64::from(s < blocks % n))
+            .collect();
+        out.push_str(&format!(
+            "\"shards\":{n},\"shard_blocks\":[{}],\"shard_queue_depths\":[{}],",
+            list(shard_blocks),
+            list(depths.clone()),
+        ));
+    }
+    out.push_str(&format!(
+        "\"requests\":{},\"queue_depth\":{},\"counters\":{{",
         shared.requests.load(Ordering::Relaxed),
-        shared.queue.depth(),
-    );
+        depths.iter().sum::<u64>(),
+    ));
     for (i, (name, value)) in obs::snapshot().counters.iter().enumerate() {
         if i > 0 {
             out.push(',');

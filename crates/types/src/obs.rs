@@ -136,28 +136,11 @@ pub enum Counter {
     /// Torn WAL tails dropped during recovery (truncated or corrupt
     /// final records; at most one per WAL file read).
     WalTornTails,
-    /// Blocks routed to and applied by a serving shard (sharded daemon;
-    /// the total equals the blocks ingested regardless of shard count).
-    ServeShardIngests,
-    /// Queries answered from an immutable shard-replica snapshot
-    /// (sharded daemon; the total is shard-count independent).
-    ServeShardQueries,
-    /// Epoch-replica pointer flips published by the sharded daemon's
-    /// sequencer (one per applied block, plus the recovery publish).
-    ServeReplicaSwaps,
-    /// High-water mark of the block-count spread between the fullest and
-    /// the emptiest serving shard (recorded with [`record_max`], not
-    /// accumulated) — the router's imbalance gauge.
-    ServeShardImbalance,
-    /// Replica model-JSON renders performed lazily on the first
-    /// `QueryModel` hit of an epoch (replicas are published with the
-    /// JSON deferred; epochs nobody queries never pay the render).
-    ServeReplicaLazyRenders,
 }
 
 impl Counter {
     /// Every counter, in display order.
-    pub const ALL: [Counter; 42] = [
+    pub const ALL: [Counter; 37] = [
         Counter::CandidatesProbed,
         Counter::Intersections,
         Counter::IntersectMerge,
@@ -195,11 +178,6 @@ impl Counter {
         Counter::WalFsyncs,
         Counter::WalReplays,
         Counter::WalTornTails,
-        Counter::ServeShardIngests,
-        Counter::ServeShardQueries,
-        Counter::ServeReplicaSwaps,
-        Counter::ServeShardImbalance,
-        Counter::ServeReplicaLazyRenders,
     ];
 
     /// The snake_case name used in `--stats` tables, JSONL events and
@@ -243,11 +221,6 @@ impl Counter {
             Counter::WalFsyncs => "wal.fsyncs",
             Counter::WalReplays => "wal.replays",
             Counter::WalTornTails => "wal.torn_tails",
-            Counter::ServeShardIngests => "serve.shard.ingests",
-            Counter::ServeShardQueries => "serve.shard.queries",
-            Counter::ServeReplicaSwaps => "serve.shard.replica_swaps",
-            Counter::ServeShardImbalance => "serve.shard.imbalance",
-            Counter::ServeReplicaLazyRenders => "serve.replica_lazy_renders",
         }
     }
 }

@@ -121,10 +121,11 @@ WAL:      --wal-dir DIR serves durably: every ingest is appended to a
           across queued blocks (acks still wait for the covering
           fsync). verify also fscks a WAL directory.
 SHARDS:   --shards N (default 1) partitions the serving state into N
-          shards (round-robin by block id) with per-shard WAL lanes and
-          epoch-swapped query replicas; answers are byte-identical at
-          any shard count. --shards 1 is the original single-lock
-          daemon; --window requires --shards 1. Sharding needs an exact
+          shards (round-robin by block id) with per-shard WAL lanes
+          (wal-dir/shard-<s>); answers are byte-identical at any shard
+          count. The runtime is the same at every N: --workers threads
+          each serve one connection at a time, one ingester applies
+          blocks. --window requires --shards 1. Sharding needs an exact
           shard merge, so --shards ≥ 2 is itemsets-only (a clusters,
           trees or dbscan daemon refuses it with a typed error).
 VERIFY:   re-checks every frame and checksum; exit status 1 on damage.
